@@ -1159,6 +1159,10 @@ func (s *Server) Run(t *sim.Thread) {
 			s.emptyPolls += rounds
 			s.emptyPollCycles += rounds * s.lastEmptyPoll
 			s.idleCycles += cycles
+			// Every skipped pass would have advanced the round-robin
+			// cursor; without this, scans after the window start at the
+			// wrong client.
+			s.rr += int(rounds)
 		},
 	})
 }
@@ -1221,6 +1225,14 @@ func (s *Server) iterate(t *sim.Thread) bool {
 // iteration, per client, then the stash write/read index words the idle
 // top-up reads for every hot class whose stash is already full. Host
 // side only — building the list issues no simulated operations.
+//
+// The list is the fixed-scan idle round, in client registration order.
+// WarpLoop checks only its length against the steady round's load
+// count, not the order, so a policy whose idle round visits the rings
+// in another order or reloads some of them must either never reach a
+// steady state with that same count or declare its own sequence.
+// Round-robin's idle round loads n + n(n+1) tails for n clients, which
+// matches only at n = 1, where rotation is the identity.
 func (s *Server) idleLoadAddrs() []uint64 {
 	a := s.a
 	if a == nil {

@@ -103,6 +103,10 @@ type SPSC struct {
 	// cannot perturb counters (the latency spans built from them are
 	// pure observation).
 	stamps []uint64
+
+	// spinAddrs holds the head word's address: spin's declared load
+	// sequence, kept here so a warped wait allocates nothing.
+	spinAddrs [1]uint64
 }
 
 // Stats returns a copy of the ring's telemetry counters.
@@ -162,7 +166,7 @@ func New(base uint64, slots int) *SPSC {
 	if base%sim.LineSize != 0 {
 		panic("ring: base must be cache-line aligned")
 	}
-	return &SPSC{base: base, mask: uint64(slots - 1), size: uint64(slots)}
+	return &SPSC{base: base, mask: uint64(slots - 1), size: uint64(slots), spinAddrs: [1]uint64{base}}
 }
 
 func (r *SPSC) headAddr() uint64         { return r.base }
@@ -252,22 +256,17 @@ func (r *SPSC) Publish(t *sim.Thread) {
 	}
 }
 
-// Stage spins until the slot is staged, publishing any staged backlog
-// first so the consumer can drain while the producer waits. Cycles spent
-// waiting for ring space are accounted as producer stall time.
+// Stage stages the slot, waiting for space when the ring is full. It
+// publishes any staged backlog before it waits, so the consumer can
+// drain while the producer waits. The wait is spin's warped retry loop;
+// cycles spent waiting for ring space are accounted as producer stall
+// time.
 func (r *SPSC) Stage(t *sim.Thread, w0, w1 uint64) {
 	if r.TryStage(t, w0, w1) {
 		return
 	}
 	r.Publish(t)
-	start := t.Clock()
-	for {
-		t.Pause(32)
-		if r.TryStage(t, w0, w1) {
-			r.stats.StallCycles += t.Clock() - start
-			return
-		}
-	}
+	r.spin(t, func() bool { return r.TryStage(t, w0, w1) })
 }
 
 // TryPush publishes (w0, w1) if the ring has space; it returns false
@@ -281,24 +280,39 @@ func (r *SPSC) TryPush(t *sim.Thread, w0, w1 uint64) bool {
 	return true
 }
 
-// Push spins until the push succeeds, accounting the cycles spent
-// waiting for ring space as producer stall time.
+// Push publishes (w0, w1), waiting for space when the ring is full. The
+// wait is spin's warped retry loop; cycles spent waiting for ring space
+// are accounted as producer stall time.
 func (r *SPSC) Push(t *sim.Thread, w0, w1 uint64) {
 	if r.TryPush(t, w0, w1) {
 		return
 	}
+	r.spin(t, func() bool { return r.TryPush(t, w0, w1) })
+}
+
+// spin is the producer's full-ring wait: each round pauses 32 cycles
+// and retries until retry succeeds, and the wait's cycles are added to
+// StallCycles. It runs as a sim.WarpLoop. A round that finds the ring
+// still full refreshes shadowHead with one load of the head word and
+// stores nothing, so inside one scheduler lease — while the consumer
+// cannot run — every such round is identical, and the time warp skips
+// them in bulk. Skipped rounds are counted in FullRetries exactly as if
+// each had run.
+func (r *SPSC) spin(t *sim.Thread, retry func() bool) {
 	start := t.Clock()
-	for {
-		t.Pause(32)
-		if r.TryPush(t, w0, w1) {
-			r.stats.StallCycles += t.Clock() - start
-			return
-		}
-	}
+	t.WarpLoop(sim.WaitSpec{
+		Round: func() bool {
+			t.Pause(32)
+			return retry()
+		},
+		Addrs:   func() []uint64 { return r.spinAddrs[:] },
+		Skipped: func(rounds, _ uint64) { r.stats.FullRetries += rounds },
+	})
+	r.stats.StallCycles += t.Clock() - start
 }
 
 // PushN stages every request and publishes them with a single tail
-// store (spinning for space as needed, like Push).
+// store (waiting for space as needed, like Push).
 func (r *SPSC) PushN(t *sim.Thread, reqs [][2]uint64) {
 	for _, q := range reqs {
 		r.Stage(t, q[0], q[1])

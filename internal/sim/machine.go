@@ -47,10 +47,12 @@ type Machine struct {
 	// with warp on and off.
 	probe func(wall uint64)
 
-	// heap is the run queue: an indexed min-heap of live threads ordered
-	// by (clock, id), so the scheduler picks the next thread and its
-	// lease base in O(log n) instead of scanning every thread per lease.
-	heap []*Thread
+	// heap is the run queue: a min-heap of live threads ordered by
+	// (clock, id), so the scheduler picks the next thread and its lease
+	// base in O(log n) instead of scanning every thread per lease. Each
+	// entry carries its thread's key inline, so sifting compares keys
+	// without dereferencing *Thread.
+	heap []runEntry
 
 	warp WarpStats
 }
@@ -235,10 +237,9 @@ func (m *Machine) Run() uint64 {
 	// others) is the smaller of the root's children: the heap property
 	// orders parent clocks below descendant clocks, so every non-root
 	// thread's clock is bounded below by a child of the root.
-	m.heap = make([]*Thread, len(m.threads))
-	copy(m.heap, m.threads)
-	for i, t := range m.heap {
-		t.heapIdx = i
+	m.heap = make([]runEntry, len(m.threads))
+	for i, t := range m.threads {
+		m.heap[i] = runEntry{clock: t.clock, id: t.id, t: t}
 	}
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
@@ -255,7 +256,7 @@ func (m *Machine) Run() uint64 {
 		if userCount == 0 {
 			m.stopping = true
 		}
-		t := m.heap[0]
+		t := m.heap[0].t
 		lease := ^uint64(0)
 		if len(m.heap) > 1 {
 			lease = m.heap[1].clock
@@ -272,8 +273,8 @@ func (m *Machine) Run() uint64 {
 			t.done = true
 			m.retire(t)
 			last := len(m.heap) - 1
-			m.heapSwap(0, last)
-			m.heap[last] = nil
+			m.heap[0] = m.heap[last]
+			m.heap[last] = runEntry{}
 			m.heap = m.heap[:last]
 			if last > 0 {
 				m.siftDown(0)
@@ -282,8 +283,9 @@ func (m *Machine) Run() uint64 {
 				userCount--
 			}
 		} else {
-			// The lease only ever moves the root's clock forward, so a
-			// single sift-down restores the heap.
+			// The lease only ever moves the root's clock forward, so
+			// refreshing its key and a single sift-down restore the heap.
+			m.heap[0].clock = t.clock
 			m.siftDown(0)
 		}
 		if t.clock > wall {
@@ -296,36 +298,42 @@ func (m *Machine) Run() uint64 {
 	return wall
 }
 
-// heapLess orders the run heap by (clock, id) — the scheduler's total
+// runEntry is one run-heap slot: a live thread and its scheduling key.
+// clock is the thread's clock as of its last lease; only the running
+// root's clock moves, and Run refreshes the key before sifting.
+type runEntry struct {
+	clock uint64
+	id    int
+	t     *Thread
+}
+
+// less orders run-heap entries by (clock, id) — the scheduler's total
 // order (ids are unique, so there are no equal keys).
-func (m *Machine) heapLess(i, j int) bool {
-	a, b := m.heap[i], m.heap[j]
+func (a *runEntry) less(b *runEntry) bool {
 	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
 }
 
-func (m *Machine) heapSwap(i, j int) {
-	h := m.heap
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-
+// siftDown restores the heap below i by moving a hole down the path of
+// smaller children and dropping the displaced entry into it once.
 func (m *Machine) siftDown(i int) {
-	n := len(m.heap)
+	h := m.heap
+	n := len(h)
+	e := h[i]
 	for {
 		c := 2*i + 1
 		if c >= n {
-			return
+			break
 		}
-		if r := c + 1; r < n && m.heapLess(r, c) {
+		if r := c + 1; r < n && h[r].less(&h[c]) {
 			c = r
 		}
-		if !m.heapLess(c, i) {
-			return
+		if !h[c].less(&e) {
+			break
 		}
-		m.heapSwap(i, c)
+		h[i] = h[c]
 		i = c
 	}
+	h[i] = e
 }
 
 // retire folds a finished thread's private counters into the per-core

@@ -17,8 +17,12 @@ import (
 //     is an idle window bounded by the producer's lease — the shape the
 //     cycle-skipping engine exists for; warp=true vs warp=false is the
 //     before/after of the pr6 tentpole.
+//   - wide68: 68 threads computing in short chunks with one store each,
+//     the thread count of a 64-worker fleet plus servers. Leases are
+//     short and the run heap is deep, so the run heap's sift and the
+//     coroutine switches dominate.
 func BenchmarkMachineRun(b *testing.B) {
-	for _, topo := range []string{"busy", "idle"} {
+	for _, topo := range []string{"busy", "idle", "wide68"} {
 		for _, warp := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/warp=%v", topo, warp), func(b *testing.B) {
 				b.ReportAllocs()
@@ -33,6 +37,9 @@ func BenchmarkMachineRun(b *testing.B) {
 func benchRun(topo string, warp bool) uint64 {
 	cfg := DefaultConfig()
 	cfg.Cores = 4
+	if topo == "wide68" {
+		cfg.Cores = 68
+	}
 	cfg.Warp = warp
 	m := New(cfg)
 	switch topo {
@@ -66,6 +73,17 @@ func benchRun(topo string, warp bool) uint64 {
 				Addrs: func() []uint64 { return []uint64{flag} },
 			})
 		})
+	case "wide68":
+		base, _ := m.Kernel().Mmap(2) // 68 private lines
+		for c := 0; c < 68; c++ {
+			word := base + uint64(c)*64
+			m.Spawn(fmt.Sprintf("wide%d", c), c, func(t *Thread) {
+				for i := 0; i < 3000; i++ {
+					t.Exec(40 + c%7)
+					t.Store64(word, uint64(i))
+				}
+			})
+		}
 	default:
 		panic("unknown topology " + topo)
 	}

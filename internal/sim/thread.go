@@ -73,8 +73,6 @@ type Thread struct {
 	// yielded may have observed memory written by another thread, so it
 	// can never serve as a bulk-replay template.
 	yields uint64
-	// heapIdx is this thread's position in the scheduler's run heap.
-	heapIdx int
 	// Scratch buffers for warpApply's probe results, reused across bulk
 	// skips so a steady wait allocates nothing per window.
 	warpIdxs []int

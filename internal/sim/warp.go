@@ -105,30 +105,29 @@ func (t *Thread) snapInto(dst *warpSnap) {
 	dst.tlb = t.tlb.Stats()
 }
 
-// sub returns the per-round delta between two snapshots.
-func (s *warpSnap) sub(o *warpSnap) warpSnap {
-	return warpSnap{
-		clock:        s.clock - o.clock,
-		instr:        s.instr - o.instr,
-		atomics:      s.atomics - o.atomics,
-		kernelCycles: s.kernelCycles - o.kernelCycles,
-		cache: cache.CoreStats{
-			Loads:          s.cache.Loads - o.cache.Loads,
-			Stores:         s.cache.Stores - o.cache.Stores,
-			L1Misses:       s.cache.L1Misses - o.cache.L1Misses,
-			L2Misses:       s.cache.L2Misses - o.cache.L2Misses,
-			LLCLoadMisses:  s.cache.LLCLoadMisses - o.cache.LLCLoadMisses,
-			LLCStoreMisses: s.cache.LLCStoreMisses - o.cache.LLCStoreMisses,
-			Invalidations:  s.cache.Invalidations - o.cache.Invalidations,
-			DirtyTransfers: s.cache.DirtyTransfers - o.cache.DirtyTransfers,
-		},
-		tlb: tlb.Stats{
-			LoadHits:    s.tlb.LoadHits - o.tlb.LoadHits,
-			LoadMisses:  s.tlb.LoadMisses - o.tlb.LoadMisses,
-			StoreHits:   s.tlb.StoreHits - o.tlb.StoreHits,
-			StoreMisses: s.tlb.StoreMisses - o.tlb.StoreMisses,
-			STLBHits:    s.tlb.STLBHits - o.tlb.STLBHits,
-		},
+// diff sets d to the per-round delta s - o between two snapshots. It
+// fills d in place: it runs once per fingerprinted round.
+func (d *warpSnap) diff(s, o *warpSnap) {
+	d.clock = s.clock - o.clock
+	d.instr = s.instr - o.instr
+	d.atomics = s.atomics - o.atomics
+	d.kernelCycles = s.kernelCycles - o.kernelCycles
+	d.cache = cache.CoreStats{
+		Loads:          s.cache.Loads - o.cache.Loads,
+		Stores:         s.cache.Stores - o.cache.Stores,
+		L1Misses:       s.cache.L1Misses - o.cache.L1Misses,
+		L2Misses:       s.cache.L2Misses - o.cache.L2Misses,
+		LLCLoadMisses:  s.cache.LLCLoadMisses - o.cache.LLCLoadMisses,
+		LLCStoreMisses: s.cache.LLCStoreMisses - o.cache.LLCStoreMisses,
+		Invalidations:  s.cache.Invalidations - o.cache.Invalidations,
+		DirtyTransfers: s.cache.DirtyTransfers - o.cache.DirtyTransfers,
+	}
+	d.tlb = tlb.Stats{
+		LoadHits:    s.tlb.LoadHits - o.tlb.LoadHits,
+		LoadMisses:  s.tlb.LoadMisses - o.tlb.LoadMisses,
+		StoreHits:   s.tlb.StoreHits - o.tlb.StoreHits,
+		StoreMisses: s.tlb.StoreMisses - o.tlb.StoreMisses,
+		STLBHits:    s.tlb.STLBHits - o.tlb.STLBHits,
 	}
 }
 
@@ -139,7 +138,7 @@ func (s *warpSnap) sub(o *warpSnap) warpSnap {
 // loads is rejected too: it touched no memory the detector can certify,
 // and the pure-Pause rounds it would describe (fault-stall chunks) carry
 // undeclared per-round host accounting.
-func (d warpSnap) clean() bool {
+func (d *warpSnap) clean() bool {
 	return d.clock > 0 &&
 		d.cache.Loads > 0 &&
 		d.instr >= d.cache.Loads &&
@@ -188,6 +187,7 @@ func (t *Thread) WarpLoop(s WaitSpec) {
 		cur      = &snaps[0] // snapshot at the current loop position
 		prev     = &snaps[1]
 		curOK    bool     // cur describes the state after the last round
+		d        warpSnap // the last round's delta
 		tmpl     warpSnap // candidate steady-round delta
 		tmplOK   bool
 		disabled bool // Addrs declaration failed verification: stop trying
@@ -217,7 +217,7 @@ func (t *Thread) WarpLoop(s WaitSpec) {
 		}
 		rounds++
 		t.snapInto(cur)
-		d := cur.sub(prev)
+		d.diff(cur, prev)
 		if t.yields != yields || !d.clean() {
 			// A yield means another thread may have written memory; an
 			// unclean round did real work. Either way the steady state
@@ -240,7 +240,7 @@ func (t *Thread) WarpLoop(s WaitSpec) {
 			continue
 		}
 		addrs := s.Addrs()
-		if uint64(len(addrs)) != tmpl.cache.Loads || !t.warpApply(addrs, tmpl, k) {
+		if uint64(len(addrs)) != tmpl.cache.Loads || !t.warpApply(addrs, &tmpl, k) {
 			disabled = true
 			tmplOK = false
 			continue
@@ -303,7 +303,7 @@ func (t *Thread) warpBudget(s *WaitSpec, rc uint64) uint64 {
 // demand counters, and LRU clocks to exactly the state k concrete
 // rounds would leave. See cache.ReplayL1Loads / tlb.ReplayL1LoadHits
 // for the stamp arithmetic.
-func (t *Thread) warpApply(addrs []uint64, d warpSnap, k uint64) bool {
+func (t *Thread) warpApply(addrs []uint64, d *warpSnap, k uint64) bool {
 	if cap(t.warpIdxs) < len(addrs) {
 		t.warpIdxs = make([]int, len(addrs))
 		t.warpWays = make([]int, len(addrs))

@@ -169,21 +169,24 @@ func TestDecodeHugeCountDoesNotPreallocate(t *testing.T) {
 	var tmp [10]byte
 	n := binary.PutUvarint(tmp[:], 1<<40) // a trillion ops, zero present
 	buf.Write(tmp[:n])
-	before := heapAllocBytes()
+	before := totalAllocBytes()
 	_, err := Decode(&buf)
-	grew := heapAllocBytes() - before
+	grew := totalAllocBytes() - before
 	if err == nil {
 		t.Fatal("huge-count empty trace accepted")
 	}
 	// The 1<<16 cap bounds the hint to ~1 MiB of Ops; anything beyond a
 	// few MiB means the count drove the allocation.
 	if grew > 8<<20 {
-		t.Errorf("decode of empty payload grew the heap by %d bytes", grew)
+		t.Errorf("decode of empty payload allocated %d bytes", grew)
 	}
 }
 
-func heapAllocBytes() uint64 {
+// totalAllocBytes reads the cumulative bytes allocated. Unlike
+// HeapAlloc it never falls, so a GC between two readings cannot make
+// their difference underflow.
+func totalAllocBytes() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	return ms.TotalAlloc
 }
